@@ -21,8 +21,8 @@ What is measured and guarded:
 
 On CPU accounting: this box has a single hardware thread, so multi-worker
 *wall* speedup is not measurable here (the workers time-slice one core).
-As with the sharded-propagation bench, the honest scaling figure recorded
-is the **critical-path CPU** — the busiest worker's process CPU seconds —
+The honest scaling figure recorded is the
+**critical-path CPU** — the busiest worker's process CPU seconds —
 which is what the wall clock converges to on a machine with enough cores.
 
 ``BENCH_tenants.json`` (next to this file) records the numbers;

@@ -14,9 +14,6 @@ Commands
 ``topology``
     Generate a synthetic Internet and write it as a CAIDA as-rel file,
     optionally through the digest-keyed on-disk cache (``--cache-dir``).
-``scale``
-    Run the pinned sharded hijack scenario: partition the AS graph across
-    ``--shards N`` worker processes (bit-identical to ``--shards 1``).
 ``replay``
     Stream a recorded feed trace (``experiment --record-trace``) back into
     a standalone detection plane — paced or flat-out, no simulator.
@@ -316,7 +313,7 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
             registry, num_workers=workers, batch_size=args.batch_size
         )
         parallel.start()
-        parallel.feed_trace(args.trace)
+        parallel.feed_trace(args.trace, args.max_events)
         result = parallel.finish()
         events_seen = parallel.events_routed + parallel.events_unrouted
         digest = result["digest"]
@@ -585,66 +582,6 @@ def cmd_topology(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_scale(args: argparse.Namespace) -> int:
-    """Run the pinned sharded hijack scenario (see repro.shard)."""
-    from repro.shard.scenario import ShardScenarioConfig, run_shard_scenario
-
-    config = ShardScenarioConfig(
-        topology=GeneratorConfig(
-            num_tier1=args.tier1, num_tier2=args.tier2, num_stubs=args.stubs
-        ),
-        seed=args.seed,
-        num_shards=args.shards,
-        compact=args.compact,
-        num_monitors=args.monitors,
-        cache_dir=args.cache_dir,
-    )
-    started = time.perf_counter()
-    result = run_shard_scenario(config)
-    wall = time.perf_counter() - started
-    args._phase_walls = {"scenario": wall}
-
-    def fmt(value) -> str:
-        return "-" if value is None else f"{value:.3f}"
-
-    rows = [
-        ["ASes", GeneratorConfig(
-            num_tier1=args.tier1, num_tier2=args.tier2, num_stubs=args.stubs
-        ).total_ases],
-        ["shards", args.shards],
-        ["rib", "compact" if args.compact else "classic"],
-        ["victim", f"AS{result.victim}"],
-        ["hijacker", f"AS{result.hijacker}"],
-        ["helper", f"AS{result.helper}"],
-        ["origin flips", len(result.flips)],
-        ["detection delay (s)", fmt(result.detection_delay)],
-        ["updates sent", result.stats.get("updates_sent", 0)],
-        ["wall seconds", f"{wall:.3f}"],
-        ["digest", result.digest[:16]],
-    ]
-    print(format_table(["metric", "value"], rows, title="sharded scenario"))
-    if args.json:
-        payload = {
-            "shards": args.shards,
-            "compact": args.compact,
-            "seed": args.seed,
-            "victim": result.victim,
-            "hijacker": result.hijacker,
-            "helper": result.helper,
-            "monitors": list(result.monitors),
-            "detection_delay": result.detection_delay,
-            "flips": len(result.flips),
-            "stats": dict(result.stats),
-            "wall_seconds": wall,
-            "digest": result.digest,
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\nresult written to {args.json}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -817,49 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     topology.add_argument("output", nargs="?", default=None, help="output path")
     topology.set_defaults(func=cmd_topology)
-
-    scale = commands.add_parser(
-        "scale", help="run the pinned sharded hijack scenario"
-    )
-    scale.add_argument("--seed", type=int, default=1, help="scenario seed")
-    scale.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes to partition the AS graph across "
-        "(1 = in-process reference path; outcomes are bit-identical)",
-    )
-    scale.add_argument(
-        "--compact",
-        action="store_true",
-        help="use the array-backed compact Adj-RIB-In speakers",
-    )
-    scale.add_argument("--tier1", type=int, default=8, help="number of tier-1 ASes")
-    scale.add_argument("--tier2", type=int, default=60, help="number of tier-2 ASes")
-    scale.add_argument("--stubs", type=int, default=250, help="number of stub ASes")
-    scale.add_argument(
-        "--monitors", type=int, default=8, help="data-plane monitor vantages"
-    )
-    scale.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="on-disk topology cache directory",
-    )
-    scale.add_argument(
-        "--profile",
-        action="store_true",
-        help="print simulation perf counters (merged across shards)",
-    )
-    scale.add_argument(
-        "--profile-json",
-        default=None,
-        metavar="PATH",
-        help="write merged perf counters and wall time as JSON here",
-    )
-    scale.add_argument("--json", default=None, help="write result JSON here")
-    scale.set_defaults(func=cmd_scale)
 
     return parser
 

@@ -90,10 +90,6 @@ class NetworkConfig:
 class Network:
     """A live simulated Internet."""
 
-    #: Speaker implementation instantiated per AS; the sharded runner swaps
-    #: in the compact-RIB speaker without changing the build sequence.
-    speaker_class = BGPSpeaker
-
     def __init__(
         self,
         graph: ASGraph,
@@ -121,7 +117,7 @@ class Network:
     # ------------------------------------------------------------------ build
 
     def _make_speaker(self, asn: int, policy: Optional[Policy] = None) -> BGPSpeaker:
-        speaker = self.speaker_class(
+        speaker = BGPSpeaker(
             asn,
             self.engine,
             policy=policy or self.config.make_policy(),

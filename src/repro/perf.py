@@ -20,9 +20,6 @@ What the counters capture:
   pure-ingest path (:mod:`repro.feeds.replay`), byte-identical duplicate
   deliveries flagged by detection (barred from founding incidents), and
   the peak pending-copy backlog gauge;
-* **sharded propagation** — cross-shard messages/bytes exchanged between
-  worker processes, sync-barrier stalls (windows a shard ran with nothing
-  to do), windows executed, and the per-shard peak RSS gauge;
 * **multi-tenant detection plane** — events ingested and batches drained by
   the :mod:`repro.tenants` pipeline, shared-tree walks vs per-batch memo
   hits (the amortization ratio), backpressure stalls (a full ingest queue
@@ -81,12 +78,6 @@ FIELDS: Tuple[str, ...] = (
     "replay_events_delivered",
     "replay_events_dropped",
     "duplicate_evidence_skipped",
-    # sharded propagation (conservative-time windows across worker
-    # processes; bumped by the coordinator and by each shard worker)
-    "cross_shard_messages",
-    "cross_shard_bytes",
-    "sync_barrier_stalls",
-    "shard_windows",
     # multi-tenant detection plane (repro.tenants: batched ingest pipeline,
     # shared prefix tree, notifier stage, and the --detect-workers fan-out)
     "pipeline_events_ingested",
@@ -116,7 +107,6 @@ GAUGES: Tuple[str, ...] = (
     "prefix_cache_size",
     "checkpoint_bytes",
     "replay_backlog_peak",
-    "shard_rss_peak_kb",
     "pipeline_queue_depth_peak",
     "notifier_queue_depth_peak",
     "detection_state_entries",

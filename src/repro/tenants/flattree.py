@@ -5,7 +5,7 @@ The node-object :class:`~repro.tenants.prefixtree.PrefixTree` spends one
 ``list`` bucket per stored prefix.  At ~100k monitored prefixes that is an
 acceptable tax; at millions it dominates the plane's RSS.
 :class:`FlatPrefixTree` keeps the exact same resolve semantics on a packed
-layout (the ``repro.bgp.ribcompact`` approach applied to the tenant tree):
+layout:
 
 * **Trie nodes** are rows in parallel ``array('i')`` columns — ``left``
   child, ``right`` child, stored ``pid`` — 12 bytes per node instead of a

@@ -11,8 +11,7 @@ every tenant whose space it touches, no matter how many tenants exist.
 
 Mutation is incremental — tenants onboard and retire without a rebuild —
 and every mutation bumps an ``epoch``, which the parallel detection workers
-use to detect stale rule shipments (same idiom as ``repro.shard``'s
-epoch-stamped route bundles).
+use to detect stale rule shipments.
 """
 
 from __future__ import annotations

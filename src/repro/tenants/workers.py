@@ -26,14 +26,14 @@ from the batch bytes into its own
 Malformed record lines (wrong field count, unparsable prefix field) are
 **dropped by the router** and counted in the ``events_malformed`` perf
 counter — a damaged feed line costs one counter bump, not the run.
-Batches carry a per-worker epoch stamp — the same loud-failure idiom as
-``repro.shard``'s route bundles: a stale, duplicated, or reordered batch
-is a protocol bug and kills the run, never a silent wrong answer.
+Batches carry a per-worker epoch stamp: a stale, duplicated, or reordered
+batch is a protocol bug and kills the run, never a silent wrong answer.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -386,8 +386,9 @@ class ParallelDetectionPlane:
         """Route record lines given as ``str`` (compat shim over bytes)."""
         self.feed_line_bytes(line.encode("utf-8") for line in lines)
 
-    def feed_trace(self, path: str) -> None:
-        self.feed_line_bytes(iter_trace_line_bytes(path))
+    def feed_trace(self, path: str, max_events: Optional[int] = None) -> None:
+        """Route a trace file's records; only the first ``max_events`` if set."""
+        self.feed_line_bytes(islice(iter_trace_line_bytes(path), max_events))
 
     def _ship(self, worker: int) -> None:
         buffer = self._buffers[worker]

@@ -17,8 +17,8 @@ adds one structured comment line per node::
     # node <asn> tier=<n> region=<name> tags=<a,b>
 
 These are ignored by any standard as-rel consumer (they are comments) but are
-round-tripped by :func:`from_caida_lines`, so a graph shipped to a shard
-worker process rebuilds **bit-identically** — same tiers, same regions, same
+round-tripped by :func:`from_caida_lines`, so a graph reloaded from the
+topology cache rebuilds **bit-identically** — same tiers, same regions, same
 link iteration order.
 """
 
@@ -76,8 +76,8 @@ def from_caida_lines(lines: Iterable[str], validate: bool = True) -> ASGraph:
 
     ``validate=False`` skips the structural validation pass — used when the
     lines were produced by :func:`to_caida_lines` from an already-validated
-    graph (e.g. shard workers rebuilding a coordinator-shipped topology),
-    where re-validating a 10k-node graph per worker is pure overhead.
+    graph (e.g. the topology cache reloading a file it wrote itself),
+    where re-validating a large graph on every load is pure overhead.
     """
     graph = ASGraph()
     annotations: dict = {}

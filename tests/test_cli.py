@@ -74,6 +74,37 @@ class TestCommands:
         assert "detection delay" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def small_trace(tmp_path_factory):
+    """A short recorded hijack trace (a few dozen records)."""
+    path = str(tmp_path_factory.mktemp("cli_trace") / "small.trace")
+    code = main(
+        ["experiment", "--seed", "4", "--hijack-prefix", "10.0.0.0/24",
+         "--record-trace", path] + FAST_WORLD
+    )
+    assert code == 0
+    return path
+
+
+class TestTenantReplay:
+    def _replay(self, trace, tmp_path, workers, *extra):
+        out = str(tmp_path / f"w{workers}.json")
+        code = main(
+            ["replay", trace, "--synth-tenants", "4",
+             "--detect-workers", str(workers), "--json", out, *extra]
+        )
+        assert code == 0
+        return json.loads(open(out).read())
+
+    def test_max_events_bounds_every_worker_count(self, small_trace, tmp_path):
+        """--max-events stops the worker path after the same first records."""
+        single = self._replay(small_trace, tmp_path, 1, "--max-events", "10")
+        parallel = self._replay(small_trace, tmp_path, 2, "--max-events", "10")
+        assert single["events_seen"] == 10
+        assert parallel["events_seen"] == single["events_seen"]
+        assert parallel["merged_alert_digest"] == single["merged_alert_digest"]
+
+
 class TestProfileAndJobs:
     def test_profile_prints_counter_table(self, capsys):
         code = main(["experiment", "--seed", "2", "--profile"] + FAST_WORLD)

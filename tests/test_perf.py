@@ -58,34 +58,6 @@ class TestPerfCounters:
         assert delta["events_processed"] == 15
         assert delta["peak_rss_kb"] == 700
 
-    def test_merge_shard_deltas_sum_counters_max_rss(self):
-        """Coordinator fold: worker counter deltas add, RSS gauges race.
-
-        ``ShardRunner.collect_perf`` merges one delta per worker; traffic
-        totals must accumulate across shards while the per-process peak-RSS
-        gauge takes the worst worker, not the sum.
-        """
-        counters = PerfCounters()
-        counters.merge({
-            "cross_shard_messages": 5,
-            "cross_shard_bytes": 1000,
-            "sync_barrier_stalls": 2,
-            "shard_windows": 40,
-            "shard_rss_peak_kb": 900,
-        })
-        counters.merge({
-            "cross_shard_messages": 3,
-            "cross_shard_bytes": 700,
-            "sync_barrier_stalls": 1,
-            "shard_windows": 40,
-            "shard_rss_peak_kb": 400,
-        })
-        assert counters.cross_shard_messages == 8
-        assert counters.cross_shard_bytes == 1700
-        assert counters.sync_barrier_stalls == 3
-        assert counters.shard_windows == 80
-        assert counters.shard_rss_peak_kb == 900
-
     def test_tombstone_ratio(self):
         counters = PerfCounters()
         assert counters.tombstone_ratio == 0.0
