@@ -60,9 +60,9 @@ from repro.feeds.replay import TraceRecorder, load_trace
 from repro.perf import COUNTERS, sample_memory
 from repro.tenants import (
     DetectionPlane,
-    ParallelDetectionPlane,
     PrefixTree,
     incident_rows,
+    run_partitioned,
 )
 from repro.tenants.synth import (
     baseline_services,
@@ -124,7 +124,6 @@ def tenant_world(recorded_unfiltered):
     )
     return {
         "trace": trace,
-        "path": recorded_unfiltered["path"],
         "registry": registry,
         "live_prefixes": len(origins),
     }
@@ -241,18 +240,18 @@ def test_batched_pipeline_vs_per_event_baseline(benchmark, tenant_world):
 def test_detect_workers_scaling(benchmark, tenant_world):
     """Partitioned workers: digest-identical merges, per-worker CPU.
 
-    Runs the recorded trace through ``ParallelDetectionPlane`` for each
+    Runs the recorded trace through ``run_partitioned`` for each
     configured worker count.  Every merged digest must equal the
     single-process plane's (computed in the speedup test above); the
     recorded scaling figure is critical-path CPU (see module docstring
     for the single-core caveat).
     """
     registry = tenant_world["registry"]
-    path = tenant_world["path"]
+    events = tenant_world["trace"].events
     single_digest = _bench_numbers.get("single_digest")
     if single_digest is None:  # running standalone: recompute the reference
         plane = DetectionPlane(registry, batch_size=1024)
-        for event in tenant_world["trace"].events:
+        for event in events:
             plane.ingest(event)
         plane.flush()
         single_digest = plane.digest()
@@ -262,13 +261,10 @@ def test_detect_workers_scaling(benchmark, tenant_world):
     def sweep():
         for workers in WORKER_COUNTS:
             COUNTERS.reset()
-            parallel = ParallelDetectionPlane(
-                registry, num_workers=workers, batch_size=1024
-            )
             started = time.perf_counter()
-            parallel.start()
-            parallel.feed_trace(path)
-            result = parallel.finish()
+            result = run_partitioned(
+                registry, events, num_workers=workers, batch_size=1024
+            )
             wall = time.perf_counter() - started
             assert result["digest"] == single_digest, (
                 f"{workers}-worker merged digest diverged from the "
@@ -278,10 +274,8 @@ def test_detect_workers_scaling(benchmark, tenant_world):
                 "wall_seconds": round(wall, 4),
                 "cpu_seconds": [round(c, 4) for c in result["cpu_seconds"]],
                 "critical_path_cpu": round(result["critical_path_cpu"], 4),
-                "events_routed": result["events_routed"],
-                "events_unrouted": result["events_unrouted"],
+                "events_seen": result["events_seen"],
                 "alerts": result["alerts"],
-                "roots": len(parallel.roots),
             }
         return runs
 

@@ -18,11 +18,10 @@ layered on top of ``benchmarks/test_tenants.py``'s architecture bench:
   the apples-to-apples denominator; the optional ratio guard
   (``TENANTS1M_MIN_SUSTAINED_RATIO``, enabled on record runs) asserts the
   warm pass beats it.
-* **worker digest identity** — ``ParallelDetectionPlane`` over the binary
-  frame transport must merge to an alert digest bit-identical to the
+* **worker digest identity** — ``run_partitioned`` (workers forked after
+  the tree is built) must merge to an alert digest bit-identical to the
   single-process ``DetectionPlane`` at every worker count in
-  ``TENANTS1M_WORKERS`` (default 1, 2, and 4), with the frame-traffic and
-  malformed-line counters recorded.
+  ``TENANTS1M_WORKERS`` (default 1, 2, and 4).
 
 Single-core caveat as in ``test_tenants.py``: the honest multi-worker
 figure recorded is critical-path CPU, not wall clock.
@@ -69,8 +68,8 @@ from repro.perf import COUNTERS, sample_memory
 from repro.tenants import (
     DetectionPlane,
     FlatPrefixTree,
-    ParallelDetectionPlane,
     PrefixTree,
+    run_partitioned,
 )
 from repro.tenants.synth import build_synth_registry, observed_origin_map
 from repro.testbed.scenario import HijackExperiment
@@ -136,7 +135,6 @@ def trace_world(recorded_unfiltered):
     trace = load_trace(recorded_unfiltered["path"])
     return {
         "trace": trace,
-        "path": recorded_unfiltered["path"],
         "origins": observed_origin_map(trace.events),
     }
 
@@ -315,18 +313,18 @@ def test_sustained_pipeline_throughput(benchmark, trace_world):
 
 @pytest.mark.slow
 def test_worker_digest_identity(benchmark, trace_world):
-    """Binary-frame workers merge bit-identically at 1, 2, and 4 workers."""
+    """Forked workers merge bit-identically at 1, 2, and 4 workers."""
     registry = build_synth_registry(
         trace_world["origins"],
         num_tenants=_REF_TENANTS,
         num_prefixes=_REF_PREFIXES,
     )
-    path = trace_world["path"]
+    events = trace_world["trace"].events
     # The reference must be a fresh *single-pass* plane: the throughput
     # test's plane saw the trace twice, and a double replay legitimately
     # changes alert state (cooldowns, resurrections) and so the digest.
     plane = DetectionPlane(registry, batch_size=1024)
-    for event in trace_world["trace"].events:
+    for event in events:
         plane.ingest(event)
     plane.flush()
     single_digest = plane.digest()
@@ -344,13 +342,10 @@ def test_worker_digest_identity(benchmark, trace_world):
     def sweep():
         for workers in WORKER_COUNTS:
             COUNTERS.reset()
-            parallel = ParallelDetectionPlane(
-                registry, num_workers=workers, batch_size=1024
-            )
             started = time.perf_counter()
-            parallel.start()
-            parallel.feed_trace(path)
-            result = parallel.finish()
+            result = run_partitioned(
+                registry, events, num_workers=workers, batch_size=1024
+            )
             wall = time.perf_counter() - started
             assert result["digest"] == single_digest, (
                 f"{workers}-worker merged digest diverged from the "
@@ -360,12 +355,8 @@ def test_worker_digest_identity(benchmark, trace_world):
                 "wall_seconds": round(wall, 4),
                 "cpu_seconds": [round(c, 4) for c in result["cpu_seconds"]],
                 "critical_path_cpu": round(result["critical_path_cpu"], 4),
-                "events_routed": result["events_routed"],
-                "events_unrouted": result["events_unrouted"],
-                "events_malformed": result["events_malformed"],
+                "events_seen": result["events_seen"],
                 "alerts": result["alerts"],
-                "frames_sent": COUNTERS.frames_sent,
-                "frames_bytes": COUNTERS.frames_bytes,
             }
         return runs
 
@@ -380,7 +371,7 @@ def test_worker_digest_identity(benchmark, trace_world):
                 "Million-prefix detection plane: flat-array prefix tree "
                 "residency vs the node tree at 10k tenants / 1M monitored "
                 "prefixes, warm-cache sustained replay at the committed "
-                "reference population, and binary-frame worker fan-out "
+                "reference population, and forked-worker fan-out "
                 "digest identity at 1/2/4 workers."
             ),
             "cpu_note": (

@@ -272,7 +272,7 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
     from repro.errors import FeedError, ReproError
     from repro.feeds.replay import load_trace
     from repro.perf import COUNTERS
-    from repro.tenants import DetectionPlane, ParallelDetectionPlane, TenantRegistry
+    from repro.tenants import TenantRegistry, run_partitioned
     from repro.tenants.synth import build_synth_registry, observed_origin_map
 
     if args.faults or args.supervise or args.speed is not None:
@@ -307,29 +307,14 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
 
     COUNTERS.reset()
     workers = max(1, args.detect_workers)
+    events = trace.events[: args.max_events]
     started = _time.perf_counter()
-    if workers > 1:
-        parallel = ParallelDetectionPlane(
-            registry, num_workers=workers, batch_size=args.batch_size
-        )
-        parallel.start()
-        parallel.feed_trace(args.trace, args.max_events)
-        result = parallel.finish()
-        events_seen = parallel.events_routed + parallel.events_unrouted
-        digest = result["digest"]
-        alerts = result["alerts"]
-        cpu_note = ", ".join(f"{c:.2f}" for c in result["cpu_seconds"])
-    else:
-        plane = DetectionPlane(registry, batch_size=args.batch_size)
-        limit = args.max_events
-        for event in trace.events if limit is None else trace.events[:limit]:
-            plane.ingest(event)
-        plane.flush()
-        events_seen = plane.events_ingested
-        digest = plane.digest()
-        alerts = plane.total_alerts()
-        cpu_note = "-"
+    result = run_partitioned(
+        registry, events, num_workers=workers, batch_size=args.batch_size
+    )
     wall = _time.perf_counter() - started
+    events_seen = result["events_seen"]
+    cpu_note = ", ".join(f"{c:.2f}" for c in result["cpu_seconds"])
 
     rows = [
         ["trace", args.trace],
@@ -343,8 +328,8 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
         ["trie walks", str(COUNTERS.pipeline_trie_walks)],
         ["memo hits", str(COUNTERS.pipeline_memo_hits)],
         ["backpressure stalls", str(COUNTERS.pipeline_backpressure_stalls)],
-        ["alerts (all tenants)", str(alerts)],
-        ["merged alert digest", digest[:16]],
+        ["alerts (all tenants)", str(result["alerts"])],
+        ["merged alert digest", result["digest"][:16]],
         ["wall seconds", f"{wall:.3f}"],
         ["events / sec", f"{events_seen / wall:,.0f}" if wall > 0 else "-"],
         ["worker cpu seconds", cpu_note],
@@ -358,8 +343,8 @@ def _cmd_replay_tenants(args: argparse.Namespace) -> int:
             "detect_workers": workers,
             "batch_size": args.batch_size,
             "events_seen": events_seen,
-            "alerts": alerts,
-            "merged_alert_digest": digest,
+            "alerts": result["alerts"],
+            "merged_alert_digest": result["digest"],
             "wall_seconds": wall,
             "counters": COUNTERS.as_dict(),
         }

@@ -24,12 +24,11 @@ What the counters capture:
   the :mod:`repro.tenants` pipeline, shared-tree walks vs per-batch memo
   hits (the amortization ratio), backpressure stalls (a full ingest queue
   forcing an inline drain), notifier emissions/drops, autoignore
-  suppressions, and the ``--detect-workers`` routing/batch counters, plus
-  queue-depth peak gauges and the bounded detection-state entry gauge;
+  suppressions, plus queue-depth peak gauges and the bounded
+  detection-state entry gauge;
 * **million-prefix tenant plane** — cross-batch verdict-cache hits and
-  evictions, binary frames shipped to detection workers (count and
-  bytes), malformed trace lines dropped by the parent-side router, and
-  the flat-array tree's resident-byte gauge (``tree_bytes``);
+  evictions, and the flat-array tree's resident-byte gauge
+  (``tree_bytes``);
 * **memory gauges** — peak RSS, intern-table populations and serialized
   checkpoint size, sampled with :func:`sample_memory` rather than bumped.
 
@@ -79,7 +78,7 @@ FIELDS: Tuple[str, ...] = (
     "replay_events_dropped",
     "duplicate_evidence_skipped",
     # multi-tenant detection plane (repro.tenants: batched ingest pipeline,
-    # shared prefix tree, notifier stage, and the --detect-workers fan-out)
+    # shared prefix tree, notifier stage)
     "pipeline_events_ingested",
     "pipeline_batches",
     "pipeline_trie_walks",
@@ -88,15 +87,10 @@ FIELDS: Tuple[str, ...] = (
     "notifier_alerts_emitted",
     "notifier_alerts_dropped",
     "autoignore_suppressed",
-    "detect_events_routed",
-    "detect_worker_batches",
     # million-prefix tenant plane (flat-array tree, cross-batch verdict
-    # cache, and the zero-pickle binary frame transport)
+    # cache)
     "verdict_cache_hits",
     "verdict_cache_evictions",
-    "frames_sent",
-    "frames_bytes",
-    "events_malformed",
 )
 
 #: Gauge fields: sampled point-in-time values, merged with ``max`` instead

@@ -15,11 +15,9 @@ shared feed.  The package splits into:
 * :mod:`repro.tenants.pipeline` — the batched ingest → classify → alert →
   notify pipeline (:class:`DetectionPlane`), its bounded cross-batch
   verdict cache, and the canonical merged alert digest;
-* :mod:`repro.tenants.frames` — the zero-pickle binary frame transport
-  between the parent router and detection workers;
-* :mod:`repro.tenants.workers` — the ``--detect-workers N`` prefix-space
-  partitioning across forked worker processes
-  (:class:`ParallelDetectionPlane`);
+* :mod:`repro.tenants.workers` — ``--detect-workers N``: one tree built
+  in the parent, then the feed split by announced prefix across forked
+  workers that share it copy-on-write (:func:`run_partitioned`);
 * :mod:`repro.tenants.synth` — deterministic synthetic tenant populations
   for the at-scale benches.
 """
@@ -32,16 +30,16 @@ from repro.tenants.pipeline import (
 )
 from repro.tenants.prefixtree import PrefixTree
 from repro.tenants.registry import TenantRegistry, TenantRule
-from repro.tenants.workers import ParallelDetectionPlane, TenantWorkerError
+from repro.tenants.workers import TenantWorkerError, run_partitioned
 
 __all__ = [
     "DetectionPlane",
     "FlatPrefixTree",
-    "ParallelDetectionPlane",
     "PrefixTree",
     "TenantRegistry",
     "TenantRule",
     "TenantWorkerError",
     "incident_rows",
     "merged_alert_digest",
+    "run_partitioned",
 ]

@@ -34,8 +34,9 @@ all visible in :data:`repro.perf.COUNTERS`.
 Determinism: batching never reorders events, per-tenant iteration is
 sorted, and alert IDs restart per manager — so :func:`merged_alert_digest`
 over the plane's incidents is bit-identical across batch sizes, and across
-the ``--detect-workers`` partitioning (workers own disjoint prefix
-subtrees, and the digest is computed over canonically sorted rows).
+the ``--detect-workers`` partitioning (workers own disjoint sets of
+announced prefixes, and the digest is computed over canonically sorted
+rows).
 """
 
 from __future__ import annotations
@@ -266,7 +267,7 @@ class DetectionPlane:
             # live for the batch that computed them (the original memo
             # contract); steady-state caching is for the pure ladder.
             cache.clear()
-        self._maybe_prune()
+        self._maybe_prune(depth)
         self._drain_notifier()
 
     def _apply(self, verdict: Verdict, event: FeedEvent) -> None:
@@ -348,10 +349,10 @@ class DetectionPlane:
             for s in self._states.values()
         )
 
-    def _maybe_prune(self) -> None:
+    def _maybe_prune(self, drained: int) -> None:
         if self.state_retention is None:
             return
-        self._events_since_prune += self.batch_size
+        self._events_since_prune += drained
         if self._events_since_prune >= PRUNE_CHECK_INTERVAL:
             self._events_since_prune = 0
             self.prune_state(self._last_event_time)

@@ -14,13 +14,12 @@ feed fan-out.  This module is the configuration side of that plane:
 * :class:`TenantRegistry` — compiles :class:`~repro.core.config.ArtemisConfig`
   style ground truth for N tenants into bundle rows, supports incremental
   tenant add/remove (propagated to any attached
-  :class:`~repro.tenants.prefixtree.PrefixTree`), and serializes to a
-  plain-tuple spec for shipping to ``--detect-workers`` processes.
+  :class:`~repro.tenants.prefixtree.PrefixTree`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.config import ArtemisConfig
 from repro.errors import ConfigError
@@ -82,32 +81,6 @@ class TenantRule:
         self.leak_sentinels = leak_sentinels
         self.detect_unchanged_path = detect_unchanged_path
         self.squat_space = squat_space
-
-    def to_row(self) -> Tuple:
-        """The plain-tuple wire form (worker-spec transport)."""
-        return (
-            self.tenant,
-            str(self.prefix),
-            tuple(sorted(self.legit_origins)),
-            None
-            if self.legit_upstreams is None
-            else tuple(sorted(self.legit_upstreams)),
-            self.detect_subprefix,
-            self.detect_path,
-            self.cooldown,
-            self.autoignore_visibility,
-            None
-            if self.neighbors is None
-            else tuple(
-                (asn, tuple(sorted(peers)))
-                for asn, peers in sorted(self.neighbors.items())
-            ),
-            None
-            if self.leak_sentinels is None
-            else tuple(sorted(self.leak_sentinels)),
-            self.detect_unchanged_path,
-            self.squat_space,
-        )
 
     def __repr__(self) -> str:
         origins = ",".join(str(a) for a in sorted(self.legit_origins))
@@ -268,53 +241,6 @@ class TenantRegistry:
     def cooldown_for(self, name: str) -> float:
         rows = self._tenants[name]
         return rows[0].cooldown if rows else 0.0
-
-    # ------------------------------------------------------------- transport
-
-    def to_spec(self) -> List[Tuple]:
-        """Plain-tuple rows for worker processes (picklable, re-internable)."""
-        return [rule.to_row() for rule in self.all_rules()]
-
-    @classmethod
-    def from_spec(cls, rows: Sequence[Tuple]) -> "TenantRegistry":
-        """Rebuild a registry from :meth:`to_spec` rows (re-interns).
-
-        Accepts both the current 12-field rows and the legacy 8-field rows
-        (pre-taxonomy specs carry no adjacency or squat material).  Rows
-        are rebuilt directly — not via :class:`ArtemisConfig` — because a
-        worker partition may hold any subset of a tenant's rows (e.g. only
-        its squat-space row).
-        """
-        registry = cls()
-        grouped: Dict[str, List[Tuple]] = {}
-        for row in rows:
-            grouped.setdefault(row[0], []).append(row)
-        for name, tenant_rows in grouped.items():
-            compiled = tuple(
-                registry._intern_rule(
-                    name,
-                    Prefix.parse(row[1]),
-                    registry._intern_set(row[2]),
-                    registry._intern_set(row[3]),
-                    row[4],
-                    row[5],
-                    row[6],
-                    int(row[7]),
-                    registry._intern_adjacencies(
-                        None
-                        if len(row) < 12 or row[8] is None
-                        else {asn: frozenset(peers) for asn, peers in row[8]}
-                    ),
-                    registry._intern_set(row[9] if len(row) >= 12 else None),
-                    row[10] if len(row) >= 12 else True,
-                    bool(row[11]) if len(row) >= 12 else False,
-                )
-                for row in tenant_rows
-            )
-            registry._tenants[name] = compiled
-            for tree in registry._trees:
-                tree.insert_rules(compiled)
-        return registry
 
     def __repr__(self) -> str:
         return (

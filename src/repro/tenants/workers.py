@@ -1,493 +1,168 @@
 """Parallel detection workers: ``--detect-workers N``.
 
-Scaling the batched plane past one core means partitioning the *prefix
-space*, not the tenants: an incident's evidence is a set of announcements
-of one prefix, so if every announcement of a given monitored subtree lands
-on the same worker, each worker owns complete incidents and the merged
-result is a plain concatenation — no cross-worker reconciliation, and the
-merged digest is bit-identical to a single worker's by construction.
+The parent builds the one shared :class:`FlatPrefixTree` and then forks
+the workers, so every worker inherits the registry, the tree and the
+already-parsed event list copy-on-write: nothing about the registry or the
+feed crosses a pipe.  Worker ``i`` ingests, in trace order, only the events
+whose announced prefix hashes to ``i``, into its own
+:class:`~repro.tenants.pipeline.DetectionPlane` over the inherited tree,
+and sends one result dict home.
 
-The partition unit is a **root**: a monitored prefix not covered by any
-other monitored prefix.  Roots are disjoint by definition, so routing one
-announcement is a single longest-match against the root trie; sub-prefix
-announcements inside a root land with it.  Roots are round-robined across
-workers in canonical order — deterministic for any worker count.
-
-The parent stays out of the parse hot path: it reads the trace file in
-**binary**, routes each raw record line by its prefix field (field 4 of
-the ``|``-separated dump format, extracted without decoding) with a bytes
-memo, and ships line batches down a pipe as
-:mod:`~repro.tenants.frames` ``BATCH`` frames — no pickle anywhere on the
-feed path.  Each worker receives its registry spec once, as a ``SPEC``
-frame with a per-frame interned string table, then parses events straight
-from the batch bytes into its own
-:class:`~repro.tenants.pipeline.DetectionPlane`.
-
-Malformed record lines (wrong field count, unparsable prefix field) are
-**dropped by the router** and counted in the ``events_malformed`` perf
-counter — a damaged feed line costs one counter bump, not the run.
-Batches carry a per-worker epoch stamp: a stale, duplicated, or reordered
-batch is a protocol bug and kills the run, never a silent wrong answer.
+Splitting by announced prefix is exact: every piece of plane state — the
+alert-manager key, the evidence duplicate gate, the verdict-cache key — is
+keyed by the announced prefix, and the plane never resolves an incident,
+so each key sees the same ordered subsequence of events under any
+partition.  The merged :func:`~repro.tenants.pipeline.merged_alert_digest`
+is therefore bit-identical to the single-process plane's for every worker
+count.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
-from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.errors import ReproError
-from repro.feeds.dumpfile import parse_event
-from repro.feeds.replay import TraceError, _FOOTER_TAG, _HEADER_TAG
-from repro.net.prefix import Prefix
-from repro.net.trie import PrefixTrie
+from repro.feeds.events import FeedEvent
 from repro.perf import COUNTERS as _COUNTERS, sample_memory
-from repro.tenants.frames import (
-    FRAME_BATCH,
-    FRAME_ERROR,
-    FRAME_FINISH,
-    FRAME_RESULT,
-    FRAME_SPEC,
-    FRAME_STOP,
-    decode_batch,
-    decode_error,
-    decode_frame,
-    decode_payload,
-    encode_batch,
-    encode_error,
-    encode_frame,
-    encode_payload,
-    send_frame,
-)
+from repro.tenants.flattree import FlatPrefixTree
 from repro.tenants.pipeline import DetectionPlane, merged_alert_digest
 from repro.tenants.registry import TenantRegistry
 
 
 class TenantWorkerError(ReproError):
-    """A detection worker died or broke the batch protocol."""
+    """A detection worker raised, or died before reporting its result."""
 
 
-#: Routing-memo sentinel: this prefix field failed to parse (malformed
-#: line); repeats of the same damaged field stay counted but cheap.
-_MALFORMED = -3
-
-
-# ---------------------------------------------------------------- partition
-
-
-def partition_roots(prefixes: Sequence[Prefix]) -> List[Prefix]:
-    """The maximal monitored prefixes (covered by no other monitored one).
-
-    Sorted canonically; this is the routing unit for worker partitioning.
-    """
-    trie: PrefixTrie[Prefix] = PrefixTrie()
-    for prefix in prefixes:
-        trie.insert(prefix, prefix)
-    return [
-        prefix
-        for prefix in trie.keys()
-        # The covering chain includes the prefix itself; a root's chain is
-        # exactly that single entry.
-        if len(trie.covering_values(prefix)) == 1
-    ]
-
-
-def assign_roots(
-    roots: Sequence[Prefix], num_workers: int
-) -> PrefixTrie:
-    """Round-robin roots over workers; returns the root → worker trie."""
-    routing: PrefixTrie[int] = PrefixTrie()
-    ordered = sorted(roots, key=lambda p: p.sort_key)
-    for index, root in enumerate(ordered):
-        routing.insert(root, index % num_workers)
-    return routing
-
-
-# ------------------------------------------------------------- trace lines
-
-
-def iter_trace_lines(path: str) -> Iterable[str]:
-    """Yield the raw record lines of a trace file (header/footer checked).
-
-    The parallel plane routes lines without parsing them into events, so
-    this is the cheap streaming complement to
-    :func:`~repro.feeds.replay.load_trace` (which parses and verifies every
-    record).  Truncation — no footer — still fails loudly.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        first = handle.readline()
-        if not first.startswith(_HEADER_TAG):
-            raise TraceError("not a trace file: missing header line")
-        sealed = False
-        for line in handle:
-            if line.startswith(_FOOTER_TAG):
-                sealed = True
-                break
-            yield line.rstrip("\n")
-        if not sealed:
-            raise TraceError("truncated trace: no footer")
-
-
-_HEADER_BYTES = _HEADER_TAG.encode("utf-8")
-_FOOTER_BYTES = _FOOTER_TAG.encode("utf-8")
-
-
-def iter_trace_line_bytes(path: str) -> Iterable[bytes]:
-    """Binary twin of :func:`iter_trace_lines`: raw record lines as bytes.
-
-    The parallel plane's hot ingest path: lines read in binary route and
-    ship without ever materializing ``str`` objects in the parent.
-    """
-    with open(path, "rb") as handle:
-        first = handle.readline()
-        if not first.startswith(_HEADER_BYTES):
-            raise TraceError("not a trace file: missing header line")
-        sealed = False
-        for line in handle:
-            if line.startswith(_FOOTER_BYTES):
-                sealed = True
-                break
-            yield line.rstrip(b"\n")
-        if not sealed:
-            raise TraceError("truncated trace: no footer")
-
-
-# ------------------------------------------------------------------ worker
-
-
-def tenant_worker_main(worker_id: int, batch_size: int, conn) -> None:
-    """Entry point of one detection worker process.
-
-    Speaks the :mod:`~repro.tenants.frames` protocol: a ``SPEC`` frame
-    builds the plane (it must arrive before any batch), ``BATCH`` frames
-    carry epoch-stamped raw trace lines, ``FINISH`` answers with a
-    ``RESULT`` payload frame, ``STOP`` exits; any failure answers with an
-    ``ERROR`` frame and dies.
-    """
-    _COUNTERS.reset()
+def _run_share(
+    registry: TenantRegistry,
+    tree: FlatPrefixTree,
+    events: Sequence[FeedEvent],
+    worker: int,
+    num_workers: int,
+    batch_size: int,
+) -> Dict:
+    """Detect over worker ``worker``'s share of ``events``; the result dict."""
     perf_mark = _COUNTERS.as_dict()
     cpu_mark = time.process_time()
-    plane: Optional[DetectionPlane] = None
-    expected_epoch = 1
-    while True:
-        try:
-            data = conn.recv_bytes()
-        except EOFError:
-            break
-        try:
-            kind, epoch, body = decode_frame(data)
-            if kind == FRAME_BATCH:
-                if plane is None:
-                    raise TenantWorkerError(
-                        f"detect worker {worker_id}: batch arrived before "
-                        "the registry spec"
-                    )
-                if epoch != expected_epoch:
-                    raise TenantWorkerError(
-                        f"detect worker {worker_id}: batch epoch {epoch} "
-                        f"arrived, expected {expected_epoch} — stale, "
-                        "duplicated, or reordered shipment"
-                    )
-                expected_epoch += 1
-                _COUNTERS.detect_worker_batches += 1
-                ingest = plane.ingest
-                for line in decode_batch(body):
-                    ingest(parse_event(line.decode("utf-8")))
-            elif kind == FRAME_SPEC:
-                registry = TenantRegistry.from_spec(decode_payload(body))
-                plane = DetectionPlane(registry, batch_size=batch_size)
-            elif kind == FRAME_FINISH:
-                if plane is None:
-                    raise TenantWorkerError(
-                        f"detect worker {worker_id}: finish arrived before "
-                        "the registry spec"
-                    )
-                plane.flush()
-                plane.prune_state(plane._last_event_time)
-                sample_memory()
-                payload = {
-                    "worker": worker_id,
-                    "rows": plane.incident_rows(),
-                    "alerts": plane.total_alerts(),
-                    "events_ingested": plane.events_ingested,
-                    "batches": plane.batches_drained,
-                    "entries_pruned": plane.entries_pruned,
-                    "perf": _COUNTERS.delta_since(perf_mark),
-                    "cpu_seconds": time.process_time() - cpu_mark,
-                }
-                send_frame(conn, encode_payload(FRAME_RESULT, 0, payload))
-            elif kind == FRAME_STOP:
-                break
-            else:
-                raise TenantWorkerError(
-                    f"detect worker {worker_id}: unknown frame kind "
-                    f"0x{kind:02x}"
-                )
-        except BaseException as exc:  # noqa: BLE001 - report, then die
-            try:
-                send_frame(conn, encode_error(f"{exc!r}"))
-            except (BrokenPipeError, OSError):
-                pass
-            break
-    conn.close()
+    plane = DetectionPlane(registry, tree=tree, batch_size=batch_size)
+    ingest = plane.ingest
+    for event in events:
+        # ``hash`` and not ``Prefix.ikey``: ikey's low bit is always 0, so
+        # ``ikey % 2`` would send every event to worker 0.
+        if hash(event.prefix) % num_workers == worker:
+            ingest(event)
+    plane.flush()
+    sample_memory()
+    return {
+        "rows": plane.incident_rows(),
+        "alerts": plane.total_alerts(),
+        "events_ingested": plane.events_ingested,
+        "perf": _COUNTERS.delta_since(perf_mark),
+        "cpu_seconds": time.process_time() - cpu_mark,
+    }
 
 
-# ------------------------------------------------------------------ parent
+def _worker_main(conn, *share_args) -> None:
+    """Forked worker body: run one share, send the result or the error."""
+    try:
+        conn.send(_run_share(*share_args))
+    except BaseException as exc:  # noqa: BLE001 - report, then exit
+        conn.send({"error": repr(exc)})
+    finally:
+        conn.close()
 
 
-class ParallelDetectionPlane:
-    """Route a recorded trace across N detection worker processes.
+def run_partitioned(
+    registry: TenantRegistry,
+    events: Sequence[FeedEvent],
+    num_workers: int,
+    batch_size: int = 256,
+) -> Dict:
+    """Detect over ``events`` split across ``num_workers`` forked workers.
 
-    Usage::
+    ``num_workers == 1`` runs in process and forks nothing.  Worker perf
+    deltas merge into the parent's counters (sum for counters, max for
+    gauges).  Returns::
 
-        plane = ParallelDetectionPlane(registry, num_workers=4)
-        plane.start()
-        plane.feed_trace(trace_path)     # or feed_lines(...)
-        result = plane.finish()          # rows, digest, per-worker cpu
+        {"rows", "digest", "alerts", "events_seen",
+         "cpu_seconds": [per worker], "critical_path_cpu"}
 
-    Determinism: the routing partition depends only on the registry's
-    monitored prefixes, and each incident's evidence lands whole on one
-    worker, so ``result["digest"]`` equals the single-process
-    :meth:`DetectionPlane.digest` for any ``num_workers``.
+    A worker that raises re-raises here as :class:`TenantWorkerError` with
+    the worker's message; one that exits without reporting raises
+    ``TenantWorkerError("... died before reporting")``.
     """
+    if num_workers < 1:
+        raise ReproError("num_workers must be >= 1")
+    tree = FlatPrefixTree(registry)
+    if num_workers == 1:
+        payloads = [_run_share(registry, tree, events, 0, 1, batch_size)]
+    else:
+        payloads = _fork_shares(registry, tree, events, num_workers, batch_size)
+        for payload in payloads:
+            _COUNTERS.merge(payload["perf"])
+    rows: List = []
+    for payload in payloads:
+        rows.extend(payload["rows"])
+    rows.sort()
+    cpu = [payload["cpu_seconds"] for payload in payloads]
+    return {
+        "rows": rows,
+        "digest": merged_alert_digest(rows),
+        "alerts": sum(payload["alerts"] for payload in payloads),
+        "events_seen": sum(payload["events_ingested"] for payload in payloads),
+        "cpu_seconds": cpu,
+        "critical_path_cpu": max(cpu),
+    }
 
-    #: Record lines buffered per worker before a pipe shipment.
-    LINES_PER_SHIPMENT = 4096
 
-    def __init__(
-        self,
-        registry: TenantRegistry,
-        num_workers: int,
-        batch_size: int = 256,
-    ):
-        if num_workers < 1:
-            raise ReproError("num_workers must be >= 1")
-        self.registry = registry
-        self.num_workers = int(num_workers)
-        self.batch_size = int(batch_size)
-        monitored = registry.monitored_prefixes()
-        if not monitored:
-            raise ReproError("registry has no monitored prefixes to partition")
-        self.roots = partition_roots(monitored)
-        self._routing = assign_roots(self.roots, self.num_workers)
-        #: prefix field (bytes) → worker id, ``None`` (unrouted), or
-        #: :data:`_MALFORMED`.
-        self._route_memo: Dict[bytes, Optional[int]] = {}
-        self._buffers: List[List[bytes]] = [
-            [] for _ in range(self.num_workers)
-        ]
-        self._epochs = [0] * self.num_workers
-        self._conns: List = []
-        self._processes: List = []
-        self.events_routed = 0
-        self.events_unrouted = 0
-        self.events_malformed = 0
-        self.started = False
-        self.finished = False
-
-    # ----------------------------------------------------------- lifecycle
-
-    def start(self) -> None:
-        """Fork the workers and ship each its registry-spec frame."""
-        if self.started:
-            return
-        import multiprocessing
-
-        specs = self._worker_specs()
-        context = multiprocessing.get_context("fork")
-        for worker_id in range(self.num_workers):
-            parent_conn, child_conn = context.Pipe()
+def _fork_shares(
+    registry: TenantRegistry,
+    tree: FlatPrefixTree,
+    events: Sequence[FeedEvent],
+    num_workers: int,
+    batch_size: int,
+) -> List[Dict]:
+    """Fork one worker per share and collect their result dicts in order."""
+    context = multiprocessing.get_context("fork")
+    conns = []
+    processes = []
+    try:
+        for worker in range(num_workers):
+            parent_conn, child_conn = context.Pipe(duplex=False)
             process = context.Process(
-                target=tenant_worker_main,
-                args=(worker_id, self.batch_size, child_conn),
+                target=_worker_main,
+                args=(
+                    child_conn, registry, tree, events, worker, num_workers,
+                    batch_size,
+                ),
                 daemon=True,
             )
             process.start()
             child_conn.close()
-            self._conns.append(parent_conn)
-            self._processes.append(process)
-        # The spec — tenant names, prefix strings, policy tuples — ships
-        # once per worker as an interned-string-table frame; every later
-        # shipment is raw batch bytes.
-        for worker_id in range(self.num_workers):
-            send_frame(
-                self._conns[worker_id],
-                encode_payload(FRAME_SPEC, 0, specs[worker_id]),
-            )
-        self.started = True
-
-    def _worker_specs(self) -> List[List[Tuple]]:
-        """Each worker's registry spec: only the rules under its roots."""
-        specs: List[List[Tuple]] = [[] for _ in range(self.num_workers)]
-        match = self._routing.longest_match
-        for rule in self.registry.all_rules():
-            hit = match(rule.prefix)
-            if hit is None:  # pragma: no cover - every rule sits under a root
-                raise ReproError(f"rule {rule!r} not covered by any root")
-            specs[hit[1]].append(rule.to_row())
-        return specs
-
-    # ------------------------------------------------------------- routing
-
-    def _route_prefix(self, prefix_field: bytes) -> Optional[int]:
-        """Longest-match a never-seen prefix field; memoize the answer."""
-        try:
-            prefix = Prefix.parse(prefix_field.decode("ascii"))
-        except (ValueError, UnicodeDecodeError):
-            self._route_memo[prefix_field] = _MALFORMED
-            return _MALFORMED
-        hit = self._routing.longest_match(prefix)
-        worker = None if hit is None else hit[1]
-        self._route_memo[prefix_field] = worker
-        return worker
-
-    def feed_line_bytes(self, lines: Iterable[bytes]) -> None:
-        """Route raw record lines (bytes) to their owning workers.
-
-        The hot path: field 4 of the dump format is the announced prefix,
-        and routing needs nothing else — no decode, no parse, no pickle.
-        Lines with the wrong field count or an unparsable prefix field are
-        dropped and counted (``events_malformed``), not raised: one bad
-        line in a million-prefix feed must not kill the run.
-        """
-        if not self.started:
-            self.start()
-        buffers = self._buffers
-        limit = self.LINES_PER_SHIPMENT
-        memo_get = self._route_memo.get
-        counters = _COUNTERS
-        for line in lines:
-            # The dump format has exactly 8 fields (7 separators); count()
-            # validates that without splitting the whole line.
-            if line.count(b"|") != 7:
-                self.events_malformed += 1
-                counters.events_malformed += 1
-                continue
-            prefix_field = line.split(b"|", 5)[4]
-            worker = memo_get(prefix_field, -2)
-            if worker == -2:
-                worker = self._route_prefix(prefix_field)
-            if worker is None:
-                # Covered by no monitored root: no tenant can match it.
-                self.events_unrouted += 1
-                continue
-            if worker == _MALFORMED:
-                self.events_malformed += 1
-                counters.events_malformed += 1
-                continue
-            self.events_routed += 1
-            counters.detect_events_routed += 1
-            buffer = buffers[worker]
-            buffer.append(line)
-            if len(buffer) >= limit:
-                self._ship(worker)
-
-    def feed_lines(self, lines: Iterable[str]) -> None:
-        """Route record lines given as ``str`` (compat shim over bytes)."""
-        self.feed_line_bytes(line.encode("utf-8") for line in lines)
-
-    def feed_trace(self, path: str, max_events: Optional[int] = None) -> None:
-        """Route a trace file's records; only the first ``max_events`` if set."""
-        self.feed_line_bytes(islice(iter_trace_line_bytes(path), max_events))
-
-    def _ship(self, worker: int) -> None:
-        buffer = self._buffers[worker]
-        if not buffer:
-            return
-        self._epochs[worker] += 1
-        send_frame(
-            self._conns[worker], encode_batch(self._epochs[worker], buffer)
-        )
-        self._buffers[worker] = []
-
-    # -------------------------------------------------------------- finish
-
-    def finish(self) -> Dict:
-        """Flush, collect every worker's results, merge, and shut down.
-
-        Merges worker perf deltas into the parent's counters (sum for
-        counters, max for gauges) and returns::
-
-            {"rows", "digest", "alerts", "cpu_seconds": [per worker],
-             "critical_path_cpu", "events_routed", "events_unrouted",
-             "events_malformed", "workers": [per-worker payloads]}
-        """
-        if self.finished:
-            raise ReproError("parallel plane already finished")
-        if not self.started:
-            self.start()
-        finish_frame = encode_frame(FRAME_FINISH, 0)
-        for worker in range(self.num_workers):
-            self._ship(worker)
-            send_frame(self._conns[worker], finish_frame)
+            conns.append(parent_conn)
+            processes.append(process)
         payloads = []
-        for worker in range(self.num_workers):
+        for worker, conn in enumerate(conns):
             try:
-                data = self._conns[worker].recv_bytes()
+                payload = conn.recv()
             except EOFError:
                 raise TenantWorkerError(
                     f"detect worker {worker} died before reporting"
                 ) from None
-            kind, _epoch, body = decode_frame(data)
-            if kind == FRAME_ERROR:
-                raise TenantWorkerError(decode_error(body))
-            if kind != FRAME_RESULT:
+            if "error" in payload:
                 raise TenantWorkerError(
-                    f"detect worker {worker}: unexpected frame kind "
-                    f"0x{kind:02x} in reply to finish"
+                    f"detect worker {worker}: {payload['error']}"
                 )
-            payload = decode_payload(body)
             payloads.append(payload)
-            _COUNTERS.merge(payload["perf"])
-        self.finished = True
-        self._shutdown()
-        rows: List[Tuple] = []
-        for payload in payloads:
-            rows.extend(payload["rows"])
-        rows.sort()
-        cpu = [payload["cpu_seconds"] for payload in payloads]
-        return {
-            "rows": rows,
-            "digest": merged_alert_digest(rows),
-            "alerts": sum(payload["alerts"] for payload in payloads),
-            "cpu_seconds": cpu,
-            "critical_path_cpu": max(cpu) if cpu else 0.0,
-            "events_routed": self.events_routed,
-            "events_unrouted": self.events_unrouted,
-            "events_malformed": self.events_malformed,
-            "workers": payloads,
-        }
-
-    def _shutdown(self) -> None:
-        stop_frame = encode_frame(FRAME_STOP, 0)
-        for conn in self._conns:
-            try:
-                send_frame(conn, stop_frame)
-            except (BrokenPipeError, OSError):
-                pass
+    except BaseException:
+        for process in processes:
+            process.terminate()
+        raise
+    finally:
+        for conn in conns:
             conn.close()
-        for process in self._processes:
-            process.join(timeout=10.0)
-            if process.is_alive():  # pragma: no cover - hung worker
-                process.terminate()
-                process.join(timeout=5.0)
-        self._conns = []
-        self._processes = []
-
-    def close(self) -> None:
-        """Abort without collecting (error-path cleanup)."""
-        if self._processes:
-            self._shutdown()
-
-    def __enter__(self) -> "ParallelDetectionPlane":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"<ParallelDetectionPlane workers={self.num_workers} "
-            f"roots={len(self.roots)} routed={self.events_routed}>"
-        )
+        for process in processes:
+            process.join()
+    return payloads

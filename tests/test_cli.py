@@ -105,6 +105,17 @@ class TestTenantReplay:
         assert parallel["merged_alert_digest"] == single["merged_alert_digest"]
 
 
+    def test_damaged_trace_exits_2_with_workers(self, small_trace, tmp_path):
+        lines = open(small_trace, encoding="utf-8").read().splitlines(True)
+        lines[2] = "A|rv|col1|99|not-a-prefix|99 100|1.0|1.0\n"
+        bad = tmp_path / "bad.trace"
+        bad.write_text("".join(lines), encoding="utf-8")
+        code = main(
+            ["replay", str(bad), "--synth-tenants", "5", "--detect-workers", "2"]
+        )
+        assert code == 2
+
+
 class TestProfileAndJobs:
     def test_profile_prints_counter_table(self, capsys):
         code = main(["experiment", "--seed", "2", "--profile"] + FAST_WORLD)

@@ -114,6 +114,28 @@ class TestTraceFormat:
         with pytest.raises(TraceError, match="99"):
             load_trace(io.StringIO(buffer.getvalue()))
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda line: line.rsplit("|", 1)[0] + "\n",  # 7 fields, not 8
+            lambda line: line.replace("10.0.0.0/23", "10.0.0.0/99"),
+        ],
+        ids=["field-count", "unparsable-prefix"],
+    )
+    def test_malformed_record_is_a_bad_record_error(self, tmp_path, damage):
+        path = str(tmp_path / "t.trace")
+        with TraceWriter(path) as writer:
+            for event in make_events():
+                writer.append(event)
+            writer.close()
+        lines = open(path, encoding="utf-8").read().splitlines(keepends=True)
+        lines[2] = damage(lines[2])
+        bad = str(tmp_path / "bad.trace")
+        with open(bad, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+        with pytest.raises(TraceError, match="bad record at line 3"):
+            load_trace(bad)
+
     def test_missing_header_rejected(self):
         with pytest.raises(TraceError, match="header"):
             load_trace(io.StringIO("not a trace\n"))

@@ -2,8 +2,7 @@
 
 Contracts under test (see DESIGN.md "Detection plane"):
 
-* the registry compiles ArtemisConfig ground truth into interned rows and
-  round-trips through its plain-tuple worker spec;
+* the registry compiles ArtemisConfig ground truth into interned rows;
 * the shared prefix tree resolves one covering walk into per-tenant
   matches — most specific rule per tenant, deterministic tenant order,
   incremental add/remove with epoch bumps;
@@ -16,13 +15,14 @@ Contracts under test (see DESIGN.md "Detection plane"):
 * resolved-incident bookkeeping is pruned after cooldown + retention in
   both the plane and the single-tenant DetectionService (bounded soaks);
 * the --detect-workers partitioning merges to a digest bit-identical to
-  the single-process plane, and a stale/reordered batch epoch is a loud
-  protocol error, never a silent wrong answer.
+  the single-process plane, even when one monitored prefix's sub-prefix
+  announcements split across workers, and a worker that raises or dies
+  is a typed TenantWorkerError, never a silent wrong answer.
 """
 
 from __future__ import annotations
 
-import threading
+import os
 
 import pytest
 
@@ -30,30 +30,25 @@ from repro.core.alerts import AlertStatus, AlertType
 from repro.core.config import ArtemisConfig, OwnedPrefix
 from repro.core.detection import DetectionService
 from repro.feeds.events import FeedEvent
-from repro.feeds.replay import TraceError, TraceWriter
+from repro.feeds.replay import TraceWriter, load_trace
 from repro.net.prefix import Prefix
 from repro.perf import COUNTERS
 from repro.tenants import (
     DetectionPlane,
-    ParallelDetectionPlane,
     PrefixTree,
     TenantRegistry,
+    TenantRule,
+    TenantWorkerError,
     incident_rows,
     merged_alert_digest,
+    run_partitioned,
 )
-from repro.tenants import frames
-from repro.tenants.pipeline import classify_batch_verdicts
+from repro.tenants.pipeline import PRUNE_CHECK_INTERVAL, classify_batch_verdicts
 from repro.tenants.synth import (
     baseline_services,
     build_synth_registry,
     observed_origin_map,
     pad_prefix,
-)
-from repro.tenants.workers import (
-    assign_roots,
-    iter_trace_lines,
-    partition_roots,
-    tenant_worker_main,
 )
 
 
@@ -138,14 +133,6 @@ class TestTenantRegistry:
     def test_remove_unknown_tenant_rejected(self):
         with pytest.raises(Exception, match="no tenant"):
             TenantRegistry().remove_tenant("ghost")
-
-    def test_spec_roundtrip(self):
-        registry = two_tenant_registry()
-        rebuilt = TenantRegistry.from_spec(registry.to_spec())
-        assert rebuilt.to_spec() == registry.to_spec()
-        assert rebuilt.tenant_names() == registry.tenant_names()
-        assert rebuilt.cooldown_for("acme") == 5.0
-        assert rebuilt.rules_for("acme")[0].legit_upstreams == frozenset([64600])
 
     def test_monitored_prefixes_distinct_and_sorted(self):
         registry = two_tenant_registry()
@@ -572,6 +559,30 @@ class TestStateBounding:
         plane.prune_state(now=2.0)
         assert COUNTERS.detection_state_entries == 4
 
+    @pytest.mark.parametrize("queue_capacity", [8192, 16])
+    def test_plane_prune_sweeps_count_drained_events(self, queue_capacity):
+        """A sweep runs per PRUNE_CHECK_INTERVAL events drained, not drains.
+
+        A partial flush, or a backpressure drain (queue bound below the
+        batch size), must not count as a whole batch toward the cadence.
+        """
+        plane = DetectionPlane(
+            two_tenant_registry(),
+            batch_size=PRUNE_CHECK_INTERVAL,
+            queue_capacity=queue_capacity,
+        )
+        sweeps = []
+        plane.prune_state = sweeps.append
+        first = min(queue_capacity, 16)
+        for i in range(first):
+            plane.ingest(make_event(1.0 + i, "10.0.0.0/24", (1, 65002)))
+        plane.flush()
+        assert sweeps == []
+        for i in range(PRUNE_CHECK_INTERVAL - first):
+            plane.ingest(make_event(100.0 + i, "10.0.0.0/24", (1, 65002)))
+        plane.flush()
+        assert len(sweeps) == 1
+
     def test_detection_service_prunes_resolved_incidents(self):
         service = DetectionService(
             ArtemisConfig([OwnedPrefix("10.0.0.0/24", [65001])], alert_cooldown=5.0)
@@ -606,8 +617,14 @@ class TestStateBounding:
 # ------------------------------------------------------------------ workers
 
 
-def write_mini_trace(path, rounds=40, tenants=8):
-    """A small multi-prefix trace with periodic hijacks; returns the path."""
+def write_mini_trace(path, rounds=40, tenants=8, subprefixes=6):
+    """A small multi-prefix trace with periodic hijacks; returns the path.
+
+    Besides each tenant's /16, every round announces ``subprefixes``
+    distinct /24s inside tenant 0's 10.0.0.0/16 (its nested owned
+    10.0.1.0/24 among them), every third round from a hijacker: one
+    monitored prefix's events then hash to more than one worker.
+    """
     writer = TraceWriter(str(path))
     t = 0.0
     for round_number in range(rounds):
@@ -620,6 +637,18 @@ def write_mini_trace(path, rounds=40, tenants=8):
                     f"10.{i}.0.0/16",
                     (1, origin),
                     vantage=100 + round_number % 4,
+                    observed=t,
+                )
+            )
+        for k in range(subprefixes):
+            t += 0.01
+            origin = 65000 if round_number % 3 else 666
+            writer.append(
+                make_event(
+                    t + 0.2,
+                    f"10.0.{k}.0/24",
+                    (2, origin),
+                    vantage=200 + round_number % 5,
                     observed=t,
                 )
             )
@@ -643,34 +672,12 @@ def worker_registry(tenants=8):
     return registry
 
 
-class TestPartitioning:
-    def test_partition_roots_keeps_only_maximal_prefixes(self):
-        prefixes = [
-            Prefix.parse("10.0.0.0/16"),
-            Prefix.parse("10.0.1.0/24"),  # nested: not a root
-            Prefix.parse("10.1.0.0/16"),
-            Prefix.parse("192.168.0.0/24"),
-        ]
-        roots = partition_roots(prefixes)
-        assert sorted(str(p) for p in roots) == [
-            "10.0.0.0/16",
-            "10.1.0.0/16",
-            "192.168.0.0/24",
-        ]
+def raise_in_worker(self, event):
+    raise RuntimeError("ingest exploded in the worker")
 
-    def test_assign_roots_round_robin_deterministic(self):
-        roots = [Prefix.parse(f"10.{i}.0.0/16") for i in range(5)]
-        routing = assign_roots(roots, num_workers=2)
-        owners = [routing.get(root) for root in roots]
-        assert owners == [0, 1, 0, 1, 0]
 
-    def test_iter_trace_lines_rejects_truncation(self, tmp_path):
-        trace = write_mini_trace(tmp_path / "t.trace", rounds=2)
-        lines = open(trace, encoding="utf-8").read().splitlines()
-        clipped = tmp_path / "clipped.trace"
-        clipped.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(TraceError, match="no footer"):
-            list(iter_trace_lines(str(clipped)))
+def exit_in_worker(self, event):
+    os._exit(3)
 
 
 class TestParallelDetectionPlane:
@@ -678,117 +685,53 @@ class TestParallelDetectionPlane:
     def test_merged_digest_identical_to_single_process(
         self, tmp_path, num_workers
     ):
-        trace = write_mini_trace(tmp_path / "mini.trace")
+        events = load_trace(write_mini_trace(tmp_path / "mini.trace")).events
         registry = worker_registry()
         plane = DetectionPlane(registry, batch_size=32)
-        from repro.feeds.dumpfile import parse_event
-
-        for line in iter_trace_lines(trace):
-            plane.ingest(parse_event(line))
+        for event in events:
+            plane.ingest(event)
         plane.flush()
-
-        parallel = ParallelDetectionPlane(
-            registry, num_workers=num_workers, batch_size=32
+        # The sub-prefix hijacks inside 10.0.0.0/16 fire, and that one
+        # root's announced prefixes land on more than one worker.
+        root = Prefix.parse("10.0.0.0/16")
+        sub_prefixes = {
+            e.prefix for e in events if root.contains(e.prefix) and e.prefix != root
+        }
+        assert len(sub_prefixes) == 6
+        assert any(
+            row[1] == AlertType.SUB_PREFIX.value and row[3].endswith("/24")
+            for row in plane.incident_rows()
         )
-        parallel.feed_trace(trace)
-        result = parallel.finish()
+        if num_workers > 1:
+            assert len({hash(p) % num_workers for p in sub_prefixes}) > 1
+
+        result = run_partitioned(
+            registry, events, num_workers=num_workers, batch_size=32
+        )
         assert result["digest"] == plane.digest()
         assert result["rows"] == plane.incident_rows()
         assert result["alerts"] == plane.total_alerts()
+        assert result["events_seen"] == len(events)
         assert len(result["cpu_seconds"]) == num_workers
-        assert result["events_unrouted"] == 0
-
-    def test_unmonitored_prefixes_skipped_at_routing(self, tmp_path):
-        trace = write_mini_trace(tmp_path / "mini.trace", rounds=4)
-        registry = worker_registry(tenants=2)  # only 10.0/16 and 10.1/16
-        parallel = ParallelDetectionPlane(registry, num_workers=2)
-        parallel.feed_trace(trace)
-        result = parallel.finish()
-        assert result["events_unrouted"] > 0
-        assert result["events_routed"] + result["events_unrouted"] == 4 * 8
 
     def test_perf_counters_merged_from_workers(self, tmp_path):
+        events = load_trace(write_mini_trace(tmp_path / "mini.trace")).events
         COUNTERS.reset()
-        trace = write_mini_trace(tmp_path / "mini.trace")
-        parallel = ParallelDetectionPlane(worker_registry(), num_workers=2)
-        parallel.feed_trace(trace)
-        parallel.finish()
-        assert COUNTERS.detect_events_routed == 40 * 8
-        assert COUNTERS.detect_worker_batches >= 2
-        assert COUNTERS.pipeline_events_ingested == 40 * 8
+        run_partitioned(worker_registry(), events, num_workers=2)
+        assert COUNTERS.pipeline_events_ingested == 40 * (8 + 6)
         assert COUNTERS.pipeline_batches >= 2
 
-    def test_epoch_violation_is_loud(self, tmp_path):
-        import multiprocessing
+    def test_worker_exception_is_typed(self, tmp_path, monkeypatch):
+        events = load_trace(write_mini_trace(tmp_path / "mini.trace")).events
+        monkeypatch.setattr(DetectionPlane, "ingest", raise_in_worker)
+        with pytest.raises(TenantWorkerError, match="ingest exploded"):
+            run_partitioned(worker_registry(), events, num_workers=2)
 
-        trace = write_mini_trace(tmp_path / "mini.trace", rounds=2)
-        lines = [line.encode("utf-8") for line in iter_trace_lines(trace)]
-        registry = worker_registry()
-        parent_conn, child_conn = multiprocessing.Pipe()
-        thread = threading.Thread(
-            target=tenant_worker_main,
-            args=(0, 32, child_conn),
-            daemon=True,
-        )
-        thread.start()
-        parent_conn.send_bytes(
-            frames.encode_payload(frames.FRAME_SPEC, 0, registry.to_spec())
-        )
-        # Epoch 2 first: a reordered/stale shipment must be rejected.
-        parent_conn.send_bytes(frames.encode_batch(2, lines))
-        kind, _epoch, body = frames.decode_frame(parent_conn.recv_bytes())
-        assert kind == frames.FRAME_ERROR
-        assert "epoch" in frames.decode_error(body)
-        thread.join(timeout=5.0)
-
-    def test_batch_before_spec_is_loud(self):
-        import multiprocessing
-
-        parent_conn, child_conn = multiprocessing.Pipe()
-        thread = threading.Thread(
-            target=tenant_worker_main, args=(0, 32, child_conn), daemon=True
-        )
-        thread.start()
-        parent_conn.send_bytes(frames.encode_batch(1, [b"A|s|c|1|x|1|0.0|0.0"]))
-        kind, _epoch, body = frames.decode_frame(parent_conn.recv_bytes())
-        assert kind == frames.FRAME_ERROR
-        assert "before the registry spec" in frames.decode_error(body)
-        thread.join(timeout=5.0)
-
-    def test_malformed_lines_dropped_and_counted(self, tmp_path):
-        COUNTERS.reset()
-        trace = write_mini_trace(tmp_path / "mini.trace", rounds=2)
-        good = list(iter_trace_lines(trace))
-        damaged = [
-            good[0],
-            "A|rv|col1|99",  # wrong field count: no prefix field at all
-            "A|rv|col1|99|not-a-prefix|99 100|1.0|1.0",  # unparsable prefix
-            good[1],
-            "",  # empty line
-            "A|rv|col1|99|not-a-prefix|99 100|2.0|2.0",  # repeat: memo path
-        ]
-        parallel = ParallelDetectionPlane(worker_registry(), num_workers=2)
-        parallel.feed_lines(damaged)
-        parallel.feed_lines(good[2:])
-        result = parallel.finish()
-        assert result["events_malformed"] == 4
-        assert COUNTERS.events_malformed == 4
-        # The well-formed lines still route and detect normally.
-        assert result["events_routed"] + result["events_unrouted"] == len(good)
-
-    def test_spec_frame_interned_once_then_raw_batches(self, tmp_path):
-        COUNTERS.reset()
-        trace = write_mini_trace(tmp_path / "mini.trace")
-        parallel = ParallelDetectionPlane(worker_registry(), num_workers=2)
-        parallel.feed_trace(trace)
-        result = parallel.finish()
-        assert result["events_malformed"] == 0
-        # Parent side: one SPEC per worker, plus batch/finish/stop frames.
-        # Workers each reply with one RESULT frame (counted in their own
-        # deltas, which merge back after the RESULT ships — so only the
-        # parent's sends are guaranteed visible here).
-        assert COUNTERS.frames_sent >= 2 * 3
-        assert COUNTERS.frames_bytes > 0
+    def test_worker_death_is_typed(self, tmp_path, monkeypatch):
+        events = load_trace(write_mini_trace(tmp_path / "mini.trace")).events
+        monkeypatch.setattr(DetectionPlane, "ingest", exit_in_worker)
+        with pytest.raises(TenantWorkerError, match="died before reporting"):
+            run_partitioned(worker_registry(), events, num_workers=2)
 
 
 # ------------------------------------------------------------------ digests
@@ -840,4 +783,10 @@ class TestSynth:
         origins = {Prefix.parse("10.0.0.0/24"): 65001}
         one = build_synth_registry(origins, num_tenants=5, num_prefixes=50)
         two = build_synth_registry(origins, num_tenants=5, num_prefixes=50)
-        assert one.to_spec() == two.to_spec()
+        def rule_rows(registry):
+            return [
+                tuple(getattr(rule, field) for field in TenantRule.__slots__)
+                for rule in registry.all_rules()
+            ]
+
+        assert rule_rows(one) == rule_rows(two)
