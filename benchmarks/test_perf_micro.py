@@ -240,6 +240,53 @@ def test_fanout_cost_independent_of_subscription_count():
     )
 
 
+def test_verdict_cache_eviction_cost_independent_of_bound():
+    """Scaling guard: a 64x larger verdict cache must not evict 64x slower.
+
+    Every timed event carries a new ``(prefix, path)`` key into a full
+    cache, so each one costs a miss and a FIFO eviction.  Deleting a plain
+    dict's first key scans the slots earlier deletions emptied, which
+    grows with the bound; the ``OrderedDict`` head pop does not.  The
+    registry is empty, so misses resolve and classify to nothing and the
+    eviction is most of the per-event cost.  The 3x bound only has to
+    rule out the linear regime.
+    """
+    import time
+
+    from repro.feeds.events import FeedEvent
+    from repro.perf import COUNTERS
+    from repro.tenants import DetectionPlane, TenantRegistry
+
+    prefix = Prefix.parse("10.0.0.0/23")
+    rounds = 20_000
+
+    def cost(bound):
+        events = [
+            FeedEvent("ris", "rrc00", 3, "A", prefix, (3, 10_000 + i), 0.0, 0.0)
+            for i in range(bound + rounds)
+        ]
+        best = float("inf")
+        for _ in range(3):
+            plane = DetectionPlane(TenantRegistry(), verdict_cache_size=bound)
+            for event in events[:bound]:
+                plane.ingest(event)
+            plane.flush()
+            COUNTERS.reset()
+            start = time.perf_counter()
+            for event in events[bound:]:
+                plane.ingest(event)
+            plane.flush()
+            best = min(best, time.perf_counter() - start)
+            assert COUNTERS.verdict_cache_evictions == rounds
+        return best
+
+    small, large = cost(1_024), cost(65_536)
+    assert large < small * 3, (
+        f"eviction scaled with the cache bound: {small:.4f}s @1024 vs "
+        f"{large:.4f}s @65536"
+    )
+
+
 # --------------------------------------------------- incremental origin polls
 
 

@@ -15,10 +15,10 @@ the workflow third-party services use on RouteViews data.
 
 from __future__ import annotations
 
-from typing import IO, Iterable, Iterator, List, Union
+from typing import IO, Dict, Iterable, Iterator, List, Optional, Union
 
-from repro.errors import FeedError
-from repro.feeds.events import ANNOUNCE, WITHDRAW, FeedEvent
+from repro.errors import BGPError, FeedError
+from repro.feeds.events import FeedEvent
 from repro.net.asn import format_as_path, parse_as_path
 from repro.net.prefix import Prefix
 
@@ -39,26 +39,53 @@ def format_event(event: FeedEvent) -> str:
     )
 
 
-def parse_event(line: str) -> FeedEvent:
-    """Parse one dump line back into a :class:`FeedEvent`."""
-    fields = line.rstrip("\n").split("|")
+def parse_event(line: str, interned: Optional[Dict] = None) -> FeedEvent:
+    """Decode one dump line (trailing newline allowed) into a :class:`FeedEvent`.
+
+    The one record decoder: :func:`read_events`, :meth:`FeedRecorder.load`
+    and :func:`~repro.feeds.replay.load_trace` all decode through it.  It
+    checks the field count, an integer vantage, numeric AS path tokens
+    within the 32-bit ASN range, float timestamps and the prefix, and
+    :meth:`FeedEvent.typed` checks the kind, a non-empty path on
+    announcements and ``delivered >= observed``; every failure is a
+    :class:`~repro.errors.FeedError`.
+
+    ``interned`` is a per-file table (pass one dict for every line of a
+    file).  It maps each distinct ``(source, collector, vantage)`` spelling,
+    each name (keyed ``(name,)``) and each ASN token to its decoded value,
+    so a spelling is checked and converted once per file and the file's
+    events share one object per distinct name, vantage and ASN.
+    """
+    fields = line.split("|")
     if len(fields) != 8:
         raise FeedError(f"dump line has {len(fields)} fields, expected 8: {line!r}")
     kind, source, collector, vantage, prefix, path, observed, delivered = fields
-    if kind not in (ANNOUNCE, WITHDRAW):
-        raise FeedError(f"unknown event kind {kind!r} in dump line")
+    if interned is None:
+        interned = {}
+    tokens = path.split()
     try:
-        return FeedEvent(
-            source=source,
-            collector=collector,
-            vantage_asn=int(vantage),
-            kind=kind,
-            prefix=Prefix.parse(prefix),
-            as_path=tuple(parse_as_path(path)),
-            observed_at=float(observed),
-            delivered_at=float(delivered),
+        seen_by = interned.get((source, collector, vantage))
+        if seen_by is None:
+            seen_by = interned[source, collector, vantage] = (
+                interned.setdefault((source,), source),
+                interned.setdefault((collector,), collector),
+                int(vantage),
+            )
+        try:
+            as_path = tuple(map(interned.__getitem__, tokens))
+        except KeyError:
+            as_path = tuple(map(interned.setdefault, tokens, parse_as_path(path)))
+        return FeedEvent.typed(
+            seen_by[0],
+            seen_by[1],
+            seen_by[2],
+            kind,
+            Prefix.parse(prefix),
+            as_path,
+            float(observed),
+            float(delivered),
         )
-    except ValueError as error:
+    except (BGPError, ValueError) as error:
         raise FeedError(f"malformed dump line {line!r}: {error}") from None
 
 
@@ -83,11 +110,12 @@ def read_events(source: Union[str, IO[str]]) -> Iterator[FeedEvent]:
         with open(source, "r", encoding="utf-8") as handle:
             yield from read_events(handle)
             return
+    interned: Dict = {}
     for line in source:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        yield parse_event(stripped)
+        yield parse_event(stripped, interned)
 
 
 class FeedRecorder:

@@ -31,6 +31,20 @@ from repro.net.prefix import Prefix
 ANNOUNCE = "A"
 WITHDRAW = "W"
 
+_new = object.__new__
+
+
+def _check(kind: str, prefix: Prefix, as_path, observed_at, delivered_at) -> None:
+    """The invariants every :class:`FeedEvent` holds, however it is built."""
+    if kind not in (ANNOUNCE, WITHDRAW):
+        raise FeedError(f"invalid feed event kind {kind!r}")
+    if kind == ANNOUNCE and not as_path:
+        raise FeedError(f"announce event for {prefix} has an empty AS path")
+    if delivered_at < observed_at:
+        raise FeedError(
+            f"event delivered at {delivered_at} before observed at {observed_at}"
+        )
+
 
 class FeedEvent:
     """One observed routing change (or state, for polls/RIB dumps)."""
@@ -57,14 +71,7 @@ class FeedEvent:
         observed_at: float,
         delivered_at: float,
     ):
-        if kind not in (ANNOUNCE, WITHDRAW):
-            raise FeedError(f"invalid feed event kind {kind!r}")
-        if kind == ANNOUNCE and not as_path:
-            raise FeedError(f"announce event for {prefix} has an empty AS path")
-        if delivered_at < observed_at:
-            raise FeedError(
-                f"event delivered at {delivered_at} before observed at {observed_at}"
-            )
+        _check(kind, prefix, as_path, observed_at, delivered_at)
         self.source = source
         self.collector = collector
         self.vantage_asn = int(vantage_asn)
@@ -73,6 +80,37 @@ class FeedEvent:
         self.as_path: Tuple[int, ...] = tuple(int(a) for a in as_path)
         self.observed_at = float(observed_at)
         self.delivered_at = float(delivered_at)
+
+    @classmethod
+    def typed(
+        cls,
+        source: str,
+        collector: str,
+        vantage_asn: int,
+        kind: str,
+        prefix: Prefix,
+        as_path: Tuple[int, ...],
+        observed_at: float,
+        delivered_at: float,
+    ) -> "FeedEvent":
+        """Build an event from fields that already have their final types.
+
+        The decoder's constructor: ``vantage_asn`` a plain ``int``,
+        ``as_path`` a tuple of plain ``int``, both timestamps ``float``.  It
+        skips :meth:`__init__`'s per-field conversions but keeps its three
+        invariant checks, so every event, however built, satisfies them.
+        """
+        _check(kind, prefix, as_path, observed_at, delivered_at)
+        event = _new(cls)
+        event.source = source
+        event.collector = collector
+        event.vantage_asn = vantage_asn
+        event.kind = kind
+        event.prefix = prefix
+        event.as_path = as_path
+        event.observed_at = observed_at
+        event.delivered_at = delivered_at
+        return event
 
     @property
     def origin_as(self) -> Optional[int]:

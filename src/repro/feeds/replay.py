@@ -214,14 +214,23 @@ def load_trace(source: Union[str, IO[str]]) -> Trace:
     """Load and verify a trace file; raises :class:`TraceError` on damage.
 
     Verification is strict: the header must parse and carry a known
-    version, every line between header and footer must be a record, the
-    footer must be present (its absence means the recording run died —
+    version, every line between header and footer must be a record
+    (:func:`~repro.feeds.dumpfile.parse_event` lists a record's checks),
+    the footer must be present (its absence means the recording run died —
     the trace is truncated), and both the record count and the SHA-256
-    digest must match what the footer pinned.
+    digest must match what the footer pinned.  Bytes that are not UTF-8
+    are damage too.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
             return load_trace(handle)
+    try:
+        return _read_trace(source)
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"undecodable bytes in trace: {exc}") from None
+
+
+def _read_trace(source: IO[str]) -> Trace:
     first = source.readline()
     if not first.startswith(_HEADER_TAG):
         raise TraceError("not a trace file: missing header line")
@@ -229,6 +238,8 @@ def load_trace(source: Union[str, IO[str]]) -> Trace:
         header = json.loads(first[len(_HEADER_TAG):])
     except json.JSONDecodeError as exc:
         raise TraceError(f"unparseable trace header: {exc}") from None
+    if not isinstance(header, dict):
+        raise TraceError("unparseable trace header: not an object")
     if header.get("format") != TRACE_FORMAT:
         raise TraceError(f"unknown trace format {header.get('format')!r}")
     version = header.get("version")
@@ -237,8 +248,11 @@ def load_trace(source: Union[str, IO[str]]) -> Trace:
             f"unsupported trace version {version!r} (reader supports <= {TRACE_VERSION})"
         )
     digest = hashlib.sha256()
+    update = digest.update
     events: List[FeedEvent] = []
-    footer: Optional[Dict] = None
+    append = events.append
+    interned: Dict = {}
+    footer = None
     for number, line in enumerate(source, start=2):
         if line.startswith(_FOOTER_TAG):
             try:
@@ -249,9 +263,9 @@ def load_trace(source: Union[str, IO[str]]) -> Trace:
         if not line.endswith("\n"):
             # A record without its newline is a write that died mid-line.
             raise TraceError(f"truncated record at line {number}")
-        digest.update(line.encode("utf-8"))
+        update(line.encode("utf-8"))
         try:
-            events.append(parse_event(line))
+            append(parse_event(line, interned))
         except FeedError as exc:
             raise TraceError(f"bad record at line {number}: {exc}") from None
     if footer is None:
@@ -259,6 +273,8 @@ def load_trace(source: Union[str, IO[str]]) -> Trace:
             f"truncated trace: no footer after {len(events)} records "
             "(the recording run did not close the writer)"
         )
+    if not isinstance(footer, dict) or not isinstance(footer.get("meta") or {}, dict):
+        raise TraceError("unparseable trace footer: not an object with object meta")
     if footer.get("records") != len(events):
         raise TraceError(
             f"record count mismatch: footer says {footer.get('records')}, "

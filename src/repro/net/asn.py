@@ -37,14 +37,20 @@ def parse_as_path(text: str) -> List[int]:
     """Parse a space-separated AS path string (``"3356 1299 64500"``).
 
     Leading/trailing whitespace is ignored; an empty string yields an empty
-    path.  Raises :class:`~repro.errors.BGPError` on non-numeric tokens.
+    path.  The tokens are checked together: one digits-only test over all
+    of them, then one range check on the largest.  Raises
+    :class:`~repro.errors.BGPError` on a non-numeric token or an ASN beyond
+    32 bits.
     """
     tokens = text.split()
-    path: List[int] = []
-    for token in tokens:
-        if not token.isdigit():
-            raise BGPError(f"invalid ASN token {token!r} in AS path {text!r}")
-        path.append(int(ASN(int(token))))
+    if not tokens:
+        return []
+    if not "".join(tokens).isdecimal():
+        bad = next(token for token in tokens if not token.isdecimal())
+        raise BGPError(f"invalid ASN token {bad!r} in AS path {text!r}")
+    path = list(map(int, tokens))
+    if max(path) > MAX_ASN:
+        raise BGPError(f"ASN {max(path)} out of 32-bit range")
     return path
 
 

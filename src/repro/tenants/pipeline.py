@@ -14,7 +14,8 @@ pair; with a thousand tenants that per-event fan-out dominates the run.
    cache hit.  BGP feeds are extremely repetitive (a churn flap delivers
    the same announcement from dozens of vantage points), and repetitive
    *across* batches too, so the verdict cache is **cross-batch**: a
-   bounded FIFO dict keyed on ``(prefix.ikey, path[, vantage])`` that
+   bounded FIFO ``OrderedDict`` (O(1) eviction) keyed on
+   ``(prefix.ikey, path[, vantage])`` that
    survives from one drain to the next and is invalidated wholesale when
    the tree's epoch moves (a tenant onboarded or retired).  A steady-state
    feed converges to zero tree walks and zero rule-ladder runs per batch.
@@ -42,7 +43,7 @@ rows).
 from __future__ import annotations
 
 import hashlib
-from collections import deque
+from collections import OrderedDict, deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.alerts import AlertManager, AlertType, HijackAlert
@@ -149,7 +150,8 @@ class DetectionPlane:
         #: Bound on the cross-batch verdict cache (oldest-inserted entries
         #: evicted beyond it, counted in ``verdict_cache_evictions``).
         self.verdict_cache_size = max(1, int(verdict_cache_size))
-        self._verdict_cache: Dict[Tuple, Tuple[Verdict, ...]] = {}
+        self._verdict_cache: OrderedDict[Tuple, Tuple[Verdict, ...]]
+        self._verdict_cache = OrderedDict()
         self._cache_epoch = self.tree.epoch
         self.queue_capacity = max(1, int(queue_capacity))
         #: The depth at which ingest must drain: the batch boundary, or the
@@ -222,6 +224,7 @@ class DetectionPlane:
         per_batch_probe = probe is not None
         cache_bound = self.verdict_cache_size
         cache_get = cache.get
+        cache_evict_oldest = cache.popitem
         walks: Dict = {}
         walks_get = walks.get
         apply_verdict = self._apply
@@ -253,9 +256,11 @@ class DetectionPlane:
                 )
                 cache[memo_key] = verdicts
                 if len(cache) > cache_bound and not per_batch_probe:
-                    # FIFO eviction: dicts iterate in insertion order, so
-                    # the first key out is the oldest verdict in.
-                    del cache[next(iter(cache))]
+                    # FIFO eviction of the oldest verdict in.  An
+                    # OrderedDict pops its head in O(1); a plain dict's
+                    # ``next(iter(...))`` first scans past the slots its
+                    # earlier deletions emptied, O(bound) per eviction.
+                    cache_evict_oldest(last=False)
                     counters.verdict_cache_evictions += 1
             else:
                 counters.pipeline_memo_hits += 1

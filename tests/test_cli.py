@@ -116,6 +116,25 @@ class TestTenantReplay:
         assert code == 2
 
 
+class TestOperatorReplay:
+    @pytest.mark.parametrize(
+        "record",
+        [
+            b"A|rv|col1|99|10.0.0.0/24|99 1x4|1.0|1.0\n",
+            b"A|rv|col1|99|10.0.0.0/24|99 4294967296|1.0|1.0\n",
+            b"A|r\xffv|col1|99|10.0.0.0/24|99 100|1.0|1.0\n",
+        ],
+        ids=["bad-asn-token", "asn-out-of-range", "invalid-utf8"],
+    )
+    def test_damaged_trace_exits_2(self, small_trace, tmp_path, record, capsys):
+        lines = open(small_trace, "rb").read().splitlines(True)
+        lines[2] = record
+        bad = tmp_path / "bad.trace"
+        bad.write_bytes(b"".join(lines))
+        assert main(["replay", str(bad)]) == 2
+        assert "replay failed:" in capsys.readouterr().err
+
+
 class TestProfileAndJobs:
     def test_profile_prints_counter_table(self, capsys):
         code = main(["experiment", "--seed", "2", "--profile"] + FAST_WORLD)

@@ -18,24 +18,30 @@ The contract under test (see DESIGN.md "Trace format"):
 
 from __future__ import annotations
 
+import hashlib
 import io
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import fast_scenario
 from repro.core.alerts import AlertManager, AlertType
 from repro.faults import Fault, FaultPlan
-from repro.feeds.events import ANNOUNCE, FeedEvent
+from repro.feeds.dumpfile import read_events
+from repro.feeds.events import ANNOUNCE, WITHDRAW, FeedEvent
 from repro.feeds.replay import (
     ReplayClock,
     ReplaySession,
     ReplayTap,
+    Trace,
     TraceError,
     TraceWriter,
     VirtualTimer,
     alert_sequence_digest,
     load_trace,
 )
+from repro.net.asn import MAX_ASN
 from repro.net.prefix import Prefix
 from repro.testbed.scenario import HijackExperiment
 
@@ -115,14 +121,34 @@ class TestTraceFormat:
             load_trace(io.StringIO(buffer.getvalue()))
 
     @pytest.mark.parametrize(
-        "damage",
+        "damage, match",
         [
-            lambda line: line.rsplit("|", 1)[0] + "\n",  # 7 fields, not 8
-            lambda line: line.replace("10.0.0.0/23", "10.0.0.0/99"),
+            # 7 fields, not 8
+            (lambda line: line.rsplit("|", 1)[0] + "\n", "bad record at line 3"),
+            (
+                lambda line: line.replace("10.0.0.0/23", "10.0.0.0/99"),
+                "bad record at line 3",
+            ),
+            (
+                lambda line: line.replace(" 666|", " 6x6|"),
+                "bad record at line 3: .*invalid ASN token '6x6'",
+            ),
+            (
+                lambda line: line.replace(" 666|", f" {MAX_ASN + 1}|"),
+                "bad record at line 3: .*ASN 4294967296 out of 32-bit range",
+            ),
+            # A lone surrogate is written as the raw byte 0xff.
+            (lambda line: line.replace("ris", "r\udcffs", 1), "undecodable"),
         ],
-        ids=["field-count", "unparsable-prefix"],
+        ids=[
+            "field-count",
+            "unparsable-prefix",
+            "bad-asn-token",
+            "asn-out-of-range",
+            "invalid-utf8",
+        ],
     )
-    def test_malformed_record_is_a_bad_record_error(self, tmp_path, damage):
+    def test_malformed_record_is_a_bad_record_error(self, tmp_path, damage, match):
         path = str(tmp_path / "t.trace")
         with TraceWriter(path) as writer:
             for event in make_events():
@@ -131,10 +157,26 @@ class TestTraceFormat:
         lines = open(path, encoding="utf-8").read().splitlines(keepends=True)
         lines[2] = damage(lines[2])
         bad = str(tmp_path / "bad.trace")
-        with open(bad, "w", encoding="utf-8") as handle:
+        with open(bad, "w", encoding="utf-8", errors="surrogateescape") as handle:
             handle.writelines(lines)
-        with pytest.raises(TraceError, match="bad record at line 3"):
+        with pytest.raises(TraceError, match=match):
             load_trace(bad)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: text.replace("#%TRACE {", "#%TRACE [{").replace(
+                "}\n", "}]\n", 1
+            ),
+            lambda text: text.replace("#%END ", "#%END [").rstrip("\n") + "]\n",
+            lambda text: text.replace("#%END {", '#%END {"meta": 5, '),
+        ],
+        ids=["header-not-object", "footer-not-object", "footer-meta-not-object"],
+    )
+    def test_json_of_the_wrong_shape_is_a_trace_error(self, damage):
+        text = damage(_sealed(make_events(2)).decode("utf-8"))
+        with pytest.raises(TraceError, match="unparseable trace (header|footer)"):
+            load_trace(io.StringIO(text))
 
     def test_missing_header_rejected(self):
         with pytest.raises(TraceError, match="header"):
@@ -158,6 +200,124 @@ class TestTraceFormat:
         trace = load_trace(path)
         assert trace.config is not None
         assert [str(entry.prefix) for entry in trace.config.owned] == [str(PREFIX)]
+
+
+# ------------------------------------------------------ decoder properties
+
+
+def _sealed(events) -> bytes:
+    buffer = io.StringIO()
+    with TraceWriter(buffer, meta={"seed": 1}) as writer:
+        for event in events:
+            writer.append(event)
+    return buffer.getvalue().encode("utf-8")
+
+
+def _load_bytes(data: bytes) -> Trace:
+    """Load raw trace bytes the way a file on disk is read (UTF-8 text)."""
+    return load_trace(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
+
+def _mutate(data: bytes, mutations) -> bytes:
+    buffer = bytearray(data)
+    for op, at, byte in mutations:
+        if op == "insert":
+            buffer.insert(at % (len(buffer) + 1), byte)
+        elif buffer and op == "flip":
+            buffer[at % len(buffer)] ^= byte or 1
+        elif buffer:
+            del buffer[at % len(buffer)]
+    return bytes(buffer)
+
+
+_SEALED = _sealed(make_events(4) + make_events(2, source="bgpmon"))
+
+_MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["flip", "insert", "delete"]),
+        st.integers(0, 1 << 16),
+        st.integers(0, 255),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+_NAMES = st.text("abcdefghijklmnopqrstuvwxyz0123456789-_.", min_size=1, max_size=8)
+_TIMES = st.floats(0.0, 1e9, allow_nan=False)
+_ASNS = st.integers(0, MAX_ASN)
+
+
+@st.composite
+def _feed_events(draw):
+    kind = draw(st.sampled_from([ANNOUNCE, WITHDRAW]))
+    version, bits = draw(st.sampled_from([(4, 32), (6, 128)]))
+    observed = draw(_TIMES)
+    return FeedEvent(
+        source=draw(_NAMES),
+        collector=draw(_NAMES),
+        vantage_asn=draw(_ASNS),
+        kind=kind,
+        prefix=Prefix(
+            draw(st.integers(0, (1 << bits) - 1)), draw(st.integers(0, bits)), version
+        ),
+        as_path=draw(
+            st.lists(_ASNS, min_size=1 if kind == ANNOUNCE else 0, max_size=6)
+        ),
+        observed_at=observed,
+        delivered_at=observed + draw(_TIMES),
+    )
+
+
+class TestTraceDecoder:
+    @settings(max_examples=300, deadline=None)
+    @given(mutations=_MUTATIONS, reseal=st.booleans())
+    def test_byte_mutations_end_in_a_trace_or_a_trace_error(self, mutations, reseal):
+        """Damage anywhere is a :class:`TraceError`, never another exception.
+
+        With ``reseal`` only the records are mutated and the footer's count
+        and digest are recomputed, so the damage reaches the record decoder
+        instead of stopping at the digest check.
+        """
+        if reseal:
+            head, _, rest = _SEALED.partition(b"\n")
+            records = rest[: rest.index(b"#%END ")]
+            records = _mutate(records, mutations)
+            footer = {
+                "records": records.count(b"\n"),
+                "sha256": hashlib.sha256(records).hexdigest(),
+            }
+            data = b"%s\n%s#%%END %s\n" % (
+                head, records, json.dumps(footer).encode("ascii")
+            )
+        else:
+            data = _mutate(_SEALED, mutations)
+        try:
+            trace = _load_bytes(data)
+        except TraceError:
+            return
+        assert isinstance(trace, Trace)
+
+    @settings(max_examples=200, deadline=None)
+    @given(events=st.lists(_feed_events(), max_size=8))
+    def test_decoded_events_equal_the_written_ones(self, events):
+        data = _sealed(events)
+        trace = _load_bytes(data)
+        records = data.split(b"\n", 1)[1].rsplit(b"#%END ", 1)[0]
+        assert trace.digest == hashlib.sha256(records).hexdigest()
+        assert [e.content_key() for e in trace.events] == [
+            e.content_key() for e in events
+        ]
+        for event in trace.events:
+            assert type(event.vantage_asn) is int
+            assert type(event.as_path) is tuple
+            assert all(type(asn) is int for asn in event.as_path)
+        # Equal names decode to one shared object per load.
+        names = [e.source for e in trace.events] + [e.collector for e in trace.events]
+        assert len({id(name) for name in names}) == len(set(names))
+        recorded = list(read_events(io.StringIO(records.decode("utf-8"))))
+        assert [e.content_key() for e in recorded] == [
+            e.content_key() for e in events
+        ]
 
 
 # ------------------------------------------------- recorded live experiment

@@ -351,6 +351,21 @@ class TestDetectionPlane:
         assert COUNTERS.verdict_cache_evictions == 2
         assert plane.total_alerts() > 0
 
+        def cached(origin: int, when: float) -> bool:
+            hits = COUNTERS.verdict_cache_hits
+            plane.ingest(make_event(when, "10.0.0.0/23", (64600, origin)))
+            plane.flush()
+            return COUNTERS.verdict_cache_hits == hits + 1
+
+        # The cache now holds the two newest keys, 702 then 703.  A hit does
+        # not refresh a key's age (FIFO, not LRU): the miss on the oldest
+        # key 700 evicts 702 although 702 was just read; 703 survives.
+        assert cached(702, 10.0)
+        assert not cached(700, 11.0)
+        assert COUNTERS.verdict_cache_evictions == 3
+        assert cached(703, 12.0)
+        assert not cached(702, 13.0)
+
     def test_verdict_cache_invalidated_on_rule_change(self):
         COUNTERS.reset()
         registry = two_tenant_registry()
